@@ -1,6 +1,6 @@
 """Zero-copy shared-memory shard payloads vs the pickle transports.
 
-Two claims, recorded in ``BENCH_shm_payloads.json``:
+Two claims, each printed as a table:
 
 * **per-batch transfer bytes** (structural, asserted unconditionally): with
   ``shared_memory=True`` the bytes actually crossing the executor pipe — the
@@ -18,10 +18,7 @@ Two claims, recorded in ``BENCH_shm_payloads.json``:
 
 from __future__ import annotations
 
-import json
 import pickle
-import platform
-from pathlib import Path
 
 import pytest
 
@@ -35,7 +32,6 @@ from _bench_utils import (
     benchmark_rounds,
     best_of,
     emit,
-    smoke_mode,
 )
 from test_columnar_store_speedup import dense_database
 
@@ -45,7 +41,6 @@ from test_columnar_store_speedup import dense_database
 MIN_SPEEDUP = 1.3
 MIN_WORKERS = 4
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_shm_payloads.json"
 
 CONFIG = MiningConfig(
     min_support=0.5,
@@ -54,20 +49,6 @@ CONFIG = MiningConfig(
     tmax=120.0,
     max_pattern_size=3,
 )
-
-
-def _append_result(record: dict) -> None:
-    """Append one measurement to the accumulating perf-trajectory file."""
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    RESULTS_PATH.write_text(json.dumps(history, indent=1) + "\n")
 
 
 def _mined_graph():
@@ -154,20 +135,6 @@ def test_shared_memory_cuts_per_batch_transfer_bytes():
             title="Per-batch executor-pipe bytes: pickle vs shared-memory transport",
         )
     )
-    _append_result(
-        {
-            "benchmark": "shm_payload_bytes",
-            "request_bytes_plain": plain_request_batch,
-            "request_bytes_shm": shm_request_batch,
-            "response_bytes_plain": plain_response,
-            "response_bytes_shm": shm_response,
-            "request_cut": round(request_cut, 2),
-            "response_cut": round(response_cut, 2),
-            "n_shards": n_shards,
-            "smoke": smoke_mode(),
-            "python": platform.python_version(),
-        }
-    )
 
 
 @pytest.mark.skipif(
@@ -222,19 +189,6 @@ def test_shared_memory_end_to_end_speedup(benchmark):
                     f"sequences, {MIN_WORKERS} workers, retaining session"
                 ),
             )
-        )
-        _append_result(
-            {
-                "benchmark": "shm_end_to_end",
-                "plain_seconds": round(plain_seconds, 4),
-                "shared_seconds": round(shared_seconds, 4),
-                "speedup": round(speedup, 2),
-                "min_speedup": MIN_SPEEDUP,
-                "n_workers": MIN_WORKERS,
-                "n_sequences": len(database),
-                "smoke": smoke_mode(),
-                "python": platform.python_version(),
-            }
         )
         return speedup, None
 

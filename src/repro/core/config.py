@@ -70,10 +70,7 @@ class RetryPolicy:
         attempt (0 disables retrying).  A shard still failing after
         ``max_retries`` resubmissions propagates its last error.
     backoff_seconds:
-        Delay before the first retry round; each further round multiplies it
-        by ``backoff_multiplier``.
-    backoff_multiplier:
-        Exponential growth factor of the backoff delay.
+        Delay before the first retry round; each further round doubles it.
     shard_timeout:
         Wall-clock budget in seconds for one shard attempt; a shard still
         running past it is killed (the worker pool is torn down and rebuilt)
@@ -86,7 +83,6 @@ class RetryPolicy:
 
     max_retries: int = 2
     backoff_seconds: float = 0.05
-    backoff_multiplier: float = 2.0
     shard_timeout: float | None = None
 
     def __post_init__(self) -> None:
@@ -97,10 +93,6 @@ class RetryPolicy:
         if self.backoff_seconds < 0:
             raise ConfigurationError(
                 f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
-            )
-        if self.backoff_multiplier < 1:
-            raise ConfigurationError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
             )
         if self.shard_timeout is not None and self.shard_timeout <= 0:
             raise ConfigurationError(
@@ -114,7 +106,7 @@ class RetryPolicy:
         sacrificing determinism: it is a pure hash of ``(round_index, seed)``
         in ``[0, base / 4)``, so the same run always sleeps the same amount.
         """
-        base = self.backoff_seconds * self.backoff_multiplier**round_index
+        base = self.backoff_seconds * 2.0**round_index
         jitter_bucket = (round_index * 2654435761 + seed * 40503 + 12582917) % 1024
         return base * (1.0 + 0.25 * jitter_bucket / 1024.0)
 
@@ -185,21 +177,13 @@ class MiningConfig:
         When True (the default) instance-pair relation classification runs
         through the NumPy batch kernel
         (:mod:`repro.core.relation_kernel`) over columnar per-sequence
-        start/end arrays; ``False`` keeps the scalar per-pair reference
-        implementation.  Both paths produce byte-identical results — same
-        patterns, same occurrence order, same work counters — so the flag is
-        purely a performance switch (and the scalar path the executable
-        specification the kernel is fuzzed against).
-    kernel_min_pairs:
-        Minimum instance-pair batch size routed through the vectorized
-        kernel; smaller batches run the scalar loop, whose per-pair cost
-        beats the kernel's fixed per-batch overhead on sparse sequences.
-        ``None`` (the default) auto-tunes the crossover once per process from
-        a timed scalar-vs-kernel microprobe
-        (:func:`repro.core.engine.calibrate_kernel_min_pairs`), falling back
-        to the historical ``64`` when calibration is unavailable.  Routing is
-        a pure scheduling choice — every threshold mines the identical
-        output — so the knob only affects speed.
+        start/end arrays (sequence batches under 64 instance pairs stay on
+        the scalar loop, which is faster there); ``False`` keeps the scalar
+        per-pair reference implementation.  Both paths produce
+        byte-identical results — same patterns, same occurrence order, same
+        work counters — so the flag is purely a performance switch (and the
+        scalar path the executable specification the kernel is fuzzed
+        against).
     kernel_chunk_bytes:
         Approximate byte budget for the transient working set of one
         vectorized kernel batch — the ``rows × k`` feasibility/relation
@@ -219,8 +203,8 @@ class MiningConfig:
         clean :class:`~repro.exceptions.MemoryBudgetExceeded` before the
         kernel OOM killer would have fired; the engine then recovers by
         splitting the shard in half (recursively) and degrading — smaller
-        kernel chunks, forced summarisation where legal, finally in-process
-        evaluation — every step output-preserving and recorded in
+        kernel chunks, finally in-process evaluation — every step
+        output-preserving and recorded in
         :attr:`MiningStatistics.warnings`.  ``None`` (the default) disables
         governance; the serial engine ignores the budget.
     retry:
@@ -250,7 +234,6 @@ class MiningConfig:
     n_workers: int | None = None
     shared_memory: bool = False
     vectorized: bool = True
-    kernel_min_pairs: int | None = None
     kernel_chunk_bytes: int | None = 64 * 1024 * 1024
     memory_budget_bytes: int | None = None
     retry: RetryPolicy = RetryPolicy()
@@ -292,10 +275,6 @@ class MiningConfig:
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1 or None, got {self.n_workers}"
-            )
-        if self.kernel_min_pairs is not None and self.kernel_min_pairs < 1:
-            raise ConfigurationError(
-                f"kernel_min_pairs must be >= 1 or None, got {self.kernel_min_pairs}"
             )
         if self.kernel_chunk_bytes is not None and self.kernel_chunk_bytes < 1:
             raise ConfigurationError(
@@ -365,7 +344,7 @@ class MiningConfig:
 
         Adopts every field in ``_EXECUTION_FIELDS`` — backend, worker count,
         transport, retry policy, checkpoint path — while keeping the mining
-        parameters (thresholds, pruning, kernel routing) of ``self``.  This is
+        parameters (thresholds, pruning, kernel settings) of ``self``.  This is
         how an appended or resumed session follows the *current* run's
         execution environment without being able to drift on anything that
         could change the mined pattern set.

@@ -32,10 +32,7 @@ and the merge applies the inverse permutation — so the merged node order, and
 therefore the mined pattern set and the golden fixtures, is byte-identical to
 a serial run while skewed levels no longer wait on one overloaded shard.
 Without cost estimates (or with ``cost_balanced=False``) the backend falls
-back to contiguous equal-count shards.  ``shards_per_worker`` optionally
-over-decomposes the split (N shards per worker instead of one) so residual
-cost-model error on very skewed levels is absorbed by the executor's
-first-free-worker scheduling instead of stalling a whole worker.
+back to contiguous equal-count shards.
 
 *Summary-only final-level payloads.*  When the coordinator knows a level is
 the last one (``LevelContext.final_level``, set by the miner when
@@ -58,10 +55,9 @@ Orthogonally to the backend choice, the relation-classification inner loops
 (:func:`_grow_pair_patterns`, :func:`_extend_entry`) route dense sequence
 batches through the vectorized kernel of :mod:`repro.core.relation_kernel`
 when ``MiningConfig.vectorized`` is set (the default), falling back to the
-scalar per-pair reference loop for small batches and for
-``vectorized=False``.  The small-batch crossover is auto-tuned once per
-process (:func:`calibrate_kernel_min_pairs`), and oversized batches are
-processed in order-preserving chunks bounded by
+scalar per-pair reference loop for batches below
+:data:`_KERNEL_MIN_PAIRS` instance pairs and for ``vectorized=False``.
+Oversized batches are processed in order-preserving chunks bounded by
 ``MiningConfig.kernel_chunk_bytes``.  Both paths — under every backend —
 produce byte-identical nodes and counters, down to the occurrence store
 itself: hits land in the columnar index matrices of
@@ -120,8 +116,6 @@ __all__ = [
     "backend_from_config",
     "available_workers",
     "evaluate_candidates",
-    "calibrate_kernel_min_pairs",
-    "effective_kernel_min_pairs",
 ]
 
 #: One unit of level work: the event pair (level 2, generation order, possibly
@@ -179,12 +173,8 @@ class LevelContext:
     here before shipping the context — a worker polls its resident-set growth
     between candidates and aborts the shard with
     :class:`~repro.exceptions.MemoryBudgetExceeded` once the share is spent,
-    letting the coordinator split the shard instead of eating a SIGKILL.
-    ``allow_summarise`` records whether forcing ``summarise_dead_ends`` on
-    retry is *legal* for this level (set by the miner under the exact same
-    conditions it would set ``summarise_dead_ends`` itself); the memory
-    degradation chain consults it so a budget recovery can never summarise
-    occurrences a retaining session needs.
+    letting the coordinator recover instead of eating a SIGKILL: it splits
+    the shard, then shrinks the kernel chunks, then evaluates in-process.
     """
 
     level: int
@@ -198,7 +188,6 @@ class LevelContext:
     final_level: bool = False
     summarise_dead_ends: bool = False
     memory_share_bytes: int | None = None
-    allow_summarise: bool = False
 
     def event_support(self, event: EventKey) -> int:
         """Support of a frequent event (0 when absent, mirroring the graph)."""
@@ -307,115 +296,9 @@ def _evaluate_pair(
 #: faster, so the hybrid dispatch keeps sparse workloads at their historical
 #: speed while dense batches get the kernel.  Both paths produce
 #: byte-identical nodes and counters, so the routing is purely a scheduling
-#: choice and can never change the mined output.
-#:
-#: This constant is the *no-calibration fallback*: by default the crossover
-#: is auto-tuned once per process by :func:`calibrate_kernel_min_pairs`
-#: (override with ``MiningConfig(kernel_min_pairs=...)``, disable the probe
-#: with ``REPRO_KERNEL_CALIBRATION=0``).
+#: choice and can never change the mined output.  A module constant, so
+#: spawn and fork workers route exactly like the coordinator.
 _KERNEL_MIN_PAIRS = 64
-
-#: Clamp for the calibrated crossover.  The floor is the historical
-#: :data:`_KERNEL_MIN_PAIRS`: the probe times the bare ``classify_pairs``
-#: call, but the real kernel path also pays for windowing, hit grouping and
-#: block insertion per batch — costs the probe cannot see — so probe
-#: evidence alone is never allowed to *lower* the threshold (it would
-#: over-route small batches to the kernel).  Calibration only raises the
-#: crossover on hosts where NumPy's fixed per-batch overhead is unusually
-#: high; above 4096 pairs the scalar loop has certainly lost.
-_CALIBRATION_BOUNDS = (_KERNEL_MIN_PAIRS, 4096)
-
-#: Per-process cache of the calibrated crossover (forked workers inherit it).
-_calibrated_min_pairs: int | None = None
-
-
-def calibrate_kernel_min_pairs() -> int:
-    """Measure the scalar-vs-kernel crossover batch size on this host.
-
-    One-time per-process microprobe (a few milliseconds, cached — forked
-    worker processes inherit the parent's value): the scalar per-pair cost
-    ``c`` comes from timing :func:`~repro.core.relations.classify` over a
-    synthetic instance batch, the kernel's fixed overhead ``a`` and per-pair
-    slope ``b`` from timing :func:`classify_pairs` at two batch sizes, and
-    the crossover is ``a / (c - b)`` — the batch size where the kernel starts
-    winning — clamped to :data:`_CALIBRATION_BOUNDS`, whose floor is the
-    historical default (see the bounds' docstring for why calibration may
-    only raise the threshold, never lower it).
-
-    Returns :data:`_KERNEL_MIN_PAIRS` when the probe is disabled
-    (``REPRO_KERNEL_CALIBRATION=0``) or yields nothing usable (e.g. the
-    scalar loop measures faster per pair than the kernel slope, which only
-    happens under severe timer noise).  Routing never changes the mined
-    output, so any returned threshold is correct; calibration only moves the
-    scalar/kernel split point to where this host actually breaks even.
-    """
-    global _calibrated_min_pairs
-    if _calibrated_min_pairs is not None:
-        return _calibrated_min_pairs
-    if os.environ.get("REPRO_KERNEL_CALIBRATION", "1").lower() in ("0", "false", "off"):
-        _calibrated_min_pairs = _KERNEL_MIN_PAIRS
-        return _calibrated_min_pairs
-    try:
-        _calibrated_min_pairs = _probe_kernel_crossover()
-    except Exception:  # pragma: no cover - defensive: never fail a mine over timing
-        _calibrated_min_pairs = _KERNEL_MIN_PAIRS
-    return _calibrated_min_pairs
-
-
-def _probe_kernel_crossover(
-    n_pairs: int = 512, small: int = 32, repeats: int = 3
-) -> int:
-    """The timed microprobe behind :func:`calibrate_kernel_min_pairs`."""
-    starts1 = np.linspace(0.0, 100.0, n_pairs)
-    ends1 = starts1 + 2.0 + 3.0 * (np.arange(n_pairs) % 5)
-    starts2 = starts1 + 1.0 + (np.arange(n_pairs) % 7)
-    ends2 = starts2 + 1.0 + 2.0 * (np.arange(n_pairs) % 4)
-    instances = [
-        (
-            EventInstance(float(s1), float(e1), "calib", "A"),
-            EventInstance(float(s2), float(e2), "calib", "B"),
-        )
-        for s1, e1, s2, e2 in zip(starts1, ends1, starts2, ends2)
-    ]
-
-    def timed(run) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            began = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - began)
-        return best
-
-    classify_pairs(starts1, ends1, starts2, ends2)  # warm the kernel path
-    scalar_seconds = timed(
-        lambda: [classify(first, second) for first, second in instances]
-    )
-    big_seconds = timed(lambda: classify_pairs(starts1, ends1, starts2, ends2))
-    small_seconds = timed(
-        lambda: classify_pairs(
-            starts1[:small], ends1[:small], starts2[:small], ends2[:small]
-        )
-    )
-    scalar_per_pair = scalar_seconds / n_pairs
-    kernel_slope = max(0.0, (big_seconds - small_seconds) / (n_pairs - small))
-    kernel_overhead = max(0.0, small_seconds - kernel_slope * small)
-    if scalar_per_pair <= kernel_slope or kernel_overhead == 0.0:
-        return _KERNEL_MIN_PAIRS
-    crossover = int(round(kernel_overhead / (scalar_per_pair - kernel_slope)))
-    low, high = _CALIBRATION_BOUNDS
-    return min(max(crossover, low), high)
-
-
-def effective_kernel_min_pairs(config: MiningConfig) -> int:
-    """The kernel-routing threshold this run should use.
-
-    An explicit ``MiningConfig(kernel_min_pairs=...)`` always wins; otherwise
-    the per-process calibrated crossover (computed on first use, 64 when the
-    probe is disabled or unusable).
-    """
-    if config.kernel_min_pairs is not None:
-        return config.kernel_min_pairs
-    return calibrate_kernel_min_pairs()
 
 
 def _grow_pair_patterns(
@@ -435,7 +318,7 @@ def _grow_pair_patterns(
     """
     same_event = node_a.event == node_b.event
     vectorized = config.vectorized
-    min_pairs = effective_kernel_min_pairs(config) if vectorized else 0
+    min_pairs = _KERNEL_MIN_PAIRS if vectorized else 0
     pattern_cache: dict[tuple[bool, int], tuple[TemporalPattern, tuple]] = {}
     for sequence_id in node.bitmap.indices():
         instances_a = node_a.instances_by_sequence.get(sequence_id, [])
@@ -843,7 +726,7 @@ def _extend_entry(
     counters.
     """
     vectorized = context.config.vectorized
-    min_pairs = effective_kernel_min_pairs(context.config) if vectorized else 0
+    min_pairs = _KERNEL_MIN_PAIRS if vectorized else 0
     kernel_state: _ExtensionKernelState | None = None
     entry.bind_sources(context.level1)
     extended_sources = entry.sources + (new_event_node.instances_by_sequence,)
@@ -1354,58 +1237,31 @@ def _evaluate_level_shard(
 _FORK_PAYLOAD: tuple[Callable[[Any, list], Any], Any] | None = None
 
 
-def _call_forked(
-    items: list, directive: tuple[str, float] | None = None
-) -> Any:
-    """Worker entry point when func and payload were inherited at fork time."""
-    assert _FORK_PAYLOAD is not None, "fork worker started without a payload"
-    func, payload = _FORK_PAYLOAD
-    with resources.worker_scope():
-        faults.apply_worker_fault(directive)
-        return func(payload, items)
-
-
-def _call_forked_shared(
-    items: list, response_name: str, directive: tuple[str, float] | None = None
-) -> Any:
-    """Fork worker entry point returning its result through a shared block."""
-    assert _FORK_PAYLOAD is not None, "fork worker started without a payload"
-    func, payload = _FORK_PAYLOAD
-    with resources.worker_scope():
-        fail_shm = faults.apply_worker_fault(directive)
-        result = func(payload, items)
-    return shm.pack_shared(result, response_name, fail_injected=fail_shm)
-
-
-def _call_plain(
-    func: Callable[[Any, list], Any],
+def _call_shard(
+    func: Callable[[Any, list], Any] | None,
     payload: Any,
     items: list,
-    directive: tuple[str, float] | None = None,
+    response_name: str | None,
+    directive: tuple[str, float] | None,
 ) -> Any:
-    """Pool worker entry point on the pickle transport."""
-    with resources.worker_scope():
-        faults.apply_worker_fault(directive)
-        return func(payload, items)
+    """Worker entry point of every transport.
 
-
-def _call_pooled_shared(
-    func: Callable[[Any, list], Any],
-    request: "shm.SharedPayload",
-    items: list,
-    response_name: str,
-    directive: tuple[str, float] | None = None,
-) -> Any:
-    """Pool worker entry point with both directions over shared memory.
-
-    The request payload is mapped (and cached per block name, so one batch's
-    shards unpickle the context once per worker); the result's arrays go back
-    through the pre-named response block.
+    ``func=None`` means ``(func, payload)`` was inherited at fork time
+    (:data:`_FORK_PAYLOAD`).  A :class:`~repro.core.shm.SharedPayload`
+    request is mapped (and cached per block name, so one batch's shards
+    unpickle the context once per worker).  With a ``response_name`` the
+    result's arrays go back through that pre-named shared block.
     """
+    if func is None:
+        assert _FORK_PAYLOAD is not None, "fork worker started without a payload"
+        func, payload = _FORK_PAYLOAD
     with resources.worker_scope():
         fail_shm = faults.apply_worker_fault(directive)
-        payload = shm.load_request(request)
+        if isinstance(payload, shm.SharedPayload):
+            payload = shm.load_request(payload)
         result = func(payload, items)
+    if response_name is None:
+        return result
     return shm.pack_shared(result, response_name, fail_injected=fail_shm)
 
 
@@ -1500,13 +1356,6 @@ class ProcessPoolBackend:
     ``None`` keeps the historical choice — fork when available, the
     platform default otherwise.
 
-    ``shards_per_worker`` over-decomposes the split: targeting ``N`` shards
-    per worker (instead of exactly one) bounds the damage of a cost-model
-    miss on very skewed levels — a shard that turns out heavier than
-    estimated delays only ``1/N`` of a worker's assignment, because the
-    executor hands the remaining shards to whichever workers free up first.
-    The default of 1 keeps the historical one-shard-per-worker behaviour.
-
     Batches smaller than ``min_candidates_per_worker * 2`` are evaluated
     in-process: for tiny levels the scheduling overhead dwarfs the work being
     distributed.
@@ -1529,7 +1378,6 @@ class ProcessPoolBackend:
         n_workers: int | None = None,
         min_candidates_per_worker: int = 4,
         cost_balanced: bool = True,
-        shards_per_worker: int = 1,
         shared_memory: bool = False,
         start_method: str | None = None,
         retry: RetryPolicy | None = None,
@@ -1545,10 +1393,6 @@ class ProcessPoolBackend:
                 "min_candidates_per_worker must be >= 1, "
                 f"got {min_candidates_per_worker}"
             )
-        if shards_per_worker < 1:
-            raise ConfigurationError(
-                f"shards_per_worker must be >= 1, got {shards_per_worker}"
-            )
         if (
             start_method is not None
             and start_method not in multiprocessing.get_all_start_methods()
@@ -1561,7 +1405,6 @@ class ProcessPoolBackend:
         self.n_workers = n_workers if n_workers is not None else available_workers()
         self.min_candidates_per_worker = min_candidates_per_worker
         self.cost_balanced = cost_balanced
-        self.shards_per_worker = shards_per_worker
         self.start_method = start_method
         self.shared_memory = bool(shared_memory)
         #: Whether the zero-copy transport is actually in effect (requested
@@ -1728,10 +1571,7 @@ class ProcessPoolBackend:
         return self._run_shards(func, payload, shards, level=0)
 
     def _shard_count(self, n_items: int) -> int:
-        return min(
-            self.n_workers * self.shards_per_worker,
-            max(1, n_items // self.min_candidates_per_worker),
-        )
+        return min(self.n_workers, max(1, n_items // self.min_candidates_per_worker))
 
     def would_shard(self, n_items: int) -> bool:
         """Whether a batch of ``n_items`` would actually be split across workers.
@@ -1863,10 +1703,7 @@ class ProcessPoolBackend:
         2. **Shrink ``kernel_chunk_bytes``** (halving, floored at
            :data:`_CHUNK_SHRINK_FLOOR`) — the vectorized kernel's transient
            pair buffers are proportional to the chunk cap.
-        3. **Force occurrence summarisation** where the miner declared it
-           legal (``LevelContext.allow_summarise``) — slims what the worker
-           holds while packing its response.
-        4. **Evaluate in-process** — the coordinator usually has more
+        3. **Evaluate in-process** — the coordinator usually has more
            headroom than a budget-watched worker, and the watchdog never
            arms outside worker scope, so this step cannot loop.  If even
            that exceeds memory (or an injected memory fault is still armed,
@@ -1886,8 +1723,6 @@ class ProcessPoolBackend:
                 _ShardPiece(piece.shard, piece.offset + half, piece.items[half:]),
             ]
         if self._shrink_kernel_chunks(payload, level):
-            return [piece]
-        if self._force_summaries(payload, level):
             return [piece]
         self._warn(
             f"shard {piece.shard} of level {level} is over budget at a single "
@@ -1931,23 +1766,6 @@ class ProcessPoolBackend:
         self._warn(
             f"level {level} over budget at a single candidate; kernel chunk "
             f"cap shrunk to {shrunk} bytes"
-        )
-        return True
-
-    def _force_summaries(self, payload: Any, level: int) -> bool:
-        """Turn dead-end summarisation on early, where the miner allows it."""
-        if not isinstance(payload, LevelContext):
-            return False
-        if (
-            not payload.allow_summarise
-            or payload.summarise_dead_ends
-            or payload.final_level
-        ):
-            return False
-        payload.summarise_dead_ends = True
-        self._warn(
-            f"level {level} still over budget; forcing dead-end occurrence "
-            "summarisation to slim worker payloads"
         )
         return True
 
@@ -2060,39 +1878,29 @@ class ProcessPoolBackend:
         if ephemeral:
             _FORK_PAYLOAD = (func, payload)
         try:
-            request = None
+            # Forked workers inherit (func, payload); pooled ones get them
+            # pickled, the payload as a shared request block when packed.
+            shipped_func, shipped = (None, None) if ephemeral else (func, payload)
             if not ephemeral and names is not None:
                 try:
-                    request, request_store = shm.pack_request(payload)
+                    shipped, request_store = shm.pack_request(payload)
                 except (OSError, ValueError) as error:
                     # The request block failed to allocate; fall back to
                     # pickling the payload per shard for this round.
                     self._note_shm_failure(f"request packing failed: {error}")
                     shm.cleanup_blocks([n for n in names.values() if n])
                     names = None
-            futures = {}
-            for position, piece in enumerate(pending):
-                directive = self._worker_fault(level, piece.shard)
-                if ephemeral and names is not None:
-                    future = executor.submit(
-                        _call_forked_shared, piece.items, names[position], directive
-                    )
-                elif ephemeral:
-                    future = executor.submit(_call_forked, piece.items, directive)
-                elif names is not None:
-                    future = executor.submit(
-                        _call_pooled_shared,
-                        func,
-                        request,
-                        piece.items,
-                        names[position],
-                        directive,
-                    )
-                else:
-                    future = executor.submit(
-                        _call_plain, func, payload, piece.items, directive
-                    )
-                futures[position] = future
+            futures = {
+                position: executor.submit(
+                    _call_shard,
+                    shipped_func,
+                    shipped,
+                    piece.items,
+                    names[position] if names is not None else None,
+                    self._worker_fault(level, piece.shard),
+                )
+                for position, piece in enumerate(pending)
+            }
             done, failed, teardown = self._collect_round(futures, names, pending)
             return done, failed
         except BaseException:
@@ -2196,7 +2004,6 @@ class ProcessPoolBackend:
         return (
             f"ProcessPoolBackend(n_workers={self.n_workers}, "
             f"cost_balanced={self.cost_balanced}, "
-            f"shards_per_worker={self.shards_per_worker}, "
             f"shared_memory={self.shared_memory})"
         )
 

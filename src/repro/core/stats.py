@@ -60,7 +60,7 @@ class MiningStatistics:
     shard_retries: dict[int, int] = field(default_factory=dict)
     #: Memory-pressure recoveries per level (level -> count): each split of
     #: an over-budget shard piece and each degradation step (chunk shrink,
-    #: forced summarisation, in-process fallback) counts one.  Non-empty
+    #: in-process fallback) counts one.  Non-empty
     #: only under ``memory_budget_bytes``; the mined pattern set is
     #: unaffected (every recovery is output-preserving).
     shard_splits: dict[int, int] = field(default_factory=dict)

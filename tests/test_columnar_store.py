@@ -1,20 +1,25 @@
 """The columnar occurrence store: index matrices, gather parity, chunking,
-kernel-threshold calibration.
+kernel routing.
 
 The store's contract (see :class:`repro.core.hpg.PatternEntry`) is that the
 int32 index matrices are a lossless re-encoding of the historical
 instance-tuple lists: gather-built endpoint blocks equal the old per-call list
 comprehensions bit for bit, per-hit and batched inserts build the identical
 matrix, and the lazy ``occurrences`` view materialises the exact tuples the
-old store held.  The chunking and calibration satellites are pure scheduling
+old store held.  Chunking and scalar/kernel routing are pure scheduling
 choices and must never change a mined result.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,13 +33,7 @@ from repro import (
     Relation,
     TemporalPattern,
 )
-from repro.core.engine import (
-    _KERNEL_MIN_PAIRS,
-    _anchor_chunks,
-    _CALIBRATION_BOUNDS,
-    calibrate_kernel_min_pairs,
-    effective_kernel_min_pairs,
-)
+from repro.core.engine import _anchor_chunks
 from repro.core.hpg import EventNode, PatternEntry
 from repro.core.bitmap import Bitmap
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
@@ -309,10 +308,11 @@ class TestKernelChunking:
         assert list(_anchor_chunks(empty, empty, 10)) == []
 
     @pytest.mark.parametrize("tmax", [None, 60.0])
-    def test_tiny_chunk_budget_changes_nothing(self, tmax):
+    def test_tiny_chunk_budget_changes_nothing(self, tmax, monkeypatch):
         """A pathologically small mask budget forces many chunks at both
         kernel entry points; results and counters must be untouched —
         including on the ``tmax=None`` dense workload the budget exists for."""
+        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", 1)  # kernel everywhere
         database = random_database(31, n_sequences=6, n_series=2, max_instances=40)
         base = MiningConfig(
             min_support=0.3,
@@ -320,7 +320,6 @@ class TestKernelChunking:
             min_overlap=1.0,
             tmax=tmax,
             max_pattern_size=3,
-            kernel_min_pairs=1,  # force the kernel everywhere
         )
         chunked = HTPGM(replace(base, kernel_chunk_bytes=64)).mine(database)
         unchunked = HTPGM(replace(base, kernel_chunk_bytes=None)).mine(database)
@@ -342,43 +341,14 @@ class TestKernelChunking:
         assert MiningConfig().kernel_chunk_bytes == 64 * 1024 * 1024
 
 
-class TestKernelCalibration:
-    def test_calibrated_crossover_is_cached_and_bounded(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_calibrated_min_pairs", None)
-        first = calibrate_kernel_min_pairs()
-        low, high = _CALIBRATION_BOUNDS
-        assert first == _KERNEL_MIN_PAIRS or low <= first <= high
-        assert calibrate_kernel_min_pairs() == first  # cached per process
-        assert engine_module._calibrated_min_pairs == first
-
-    def test_explicit_config_overrides_calibration(self):
-        assert effective_kernel_min_pairs(MiningConfig(kernel_min_pairs=7)) == 7
-        assert (
-            effective_kernel_min_pairs(MiningConfig())
-            == calibrate_kernel_min_pairs()
-        )
-
-    def test_env_var_disables_the_probe(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_calibrated_min_pairs", None)
-        monkeypatch.setenv("REPRO_KERNEL_CALIBRATION", "0")
-        assert calibrate_kernel_min_pairs() == _KERNEL_MIN_PAIRS == 64
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            MiningConfig(kernel_min_pairs=0)
-        assert MiningConfig(kernel_min_pairs=None).kernel_min_pairs is None
-
+class TestKernelRouting:
     @pytest.mark.parametrize("threshold", [1, 10**9])
-    def test_extreme_thresholds_mine_the_identical_output(self, threshold):
-        """kernel_min_pairs=1 forces the kernel everywhere, 10**9 forces the
+    def test_extreme_thresholds_mine_the_identical_output(self, threshold, monkeypatch):
+        """A threshold of 1 forces the kernel everywhere, 10**9 forces the
         scalar loop everywhere; routing is a pure scheduling choice."""
+        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", threshold)
         database = random_database(19, n_sequences=8)
-        config = MiningConfig(
-            min_support=0.25,
-            min_confidence=0.25,
-            min_overlap=1.0,
-            kernel_min_pairs=threshold,
-        )
+        config = MiningConfig(min_support=0.25, min_confidence=0.25, min_overlap=1.0)
         forced = HTPGM(config).mine(database)
         reference = HTPGM(config.with_vectorized(False)).mine(database)
         assert mined_tuples(forced) == mined_tuples(reference)
@@ -386,3 +356,63 @@ class TestKernelCalibration:
             forced.statistics.relation_checks
             == reference.statistics.relation_checks
         )
+
+    @pytest.mark.parametrize(
+        "threshold,expected", [(64, {1}), (1, {0, 1}), (10**9, set())]
+    )
+    def test_prebuild_follows_the_engine_threshold(
+        self, threshold, expected, monkeypatch
+    ):
+        """Eager columnar views are built exactly for the instance lists
+        whose self-pairing reaches the kernel threshold (3² < 64 <= 9²)."""
+        from repro.core.session import _prebuild_columnar_views
+
+        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", threshold)
+        rng = random.Random(4)
+        node = _event_node(
+            "A", {0: _random_instances(rng, "A", 3), 1: _random_instances(rng, "A", 9)}
+        )
+        _prebuild_columnar_views(node)
+        assert set(node._sequence_arrays or {}) == expected
+
+    def test_sparse_default_mine_never_calls_the_kernel(self):
+        """A default vectorized serial mine of sparse data stays on the
+        scalar loop: no ``classify_pairs`` call at all, not even a timing
+        probe.  A fresh interpreter, so no state from an earlier test (a
+        cached threshold, a warmed kernel) can hide a call."""
+        script = textwrap.dedent(
+            """
+            import repro.core.engine as engine
+            from repro import HTPGM, MiningConfig
+            from test_engine_parity import random_database
+
+            calls = []
+            original = engine.classify_pairs
+
+            def counting(*args, **kwargs):
+                calls.append(len(args[0]))
+                return original(*args, **kwargs)
+
+            engine.classify_pairs = counting
+            config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
+            result = HTPGM(config).mine(random_database(5, n_sequences=10))
+            assert len(result) > 0
+            print(len(calls))
+            """
+        )
+        tests_dir = Path(__file__).resolve().parent
+        src_dir = tests_dir.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src_dir), str(tests_dir)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+            timeout=300,
+        )
+        assert completed.stdout.strip() == "0"

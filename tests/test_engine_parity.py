@@ -513,29 +513,12 @@ class TestCostBalancedSharding:
             HTPGM(config, backend=backend).mine(database)
         assert "_estimate_pair_costs" in calls
 
-
-class TestShardOverDecomposition:
-    """ProcessPoolBackend(shards_per_worker=N): finer shards, same answer."""
-
-    def test_shard_count_honours_shards_per_worker(self):
-        backend = ProcessPoolBackend(
-            n_workers=2, min_candidates_per_worker=1, shards_per_worker=4
-        )
-        assert backend._shard_count(100) == 8
-        assert backend._shard_count(3) == 3  # still capped by the batch size
-        assert backend.would_shard(2)
-        single = ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1)
-        assert single.shards_per_worker == 1
-        assert single._shard_count(100) == 2
-
     def test_split_cost_balanced_shard_counts(self):
-        """The LPT splitter produces the over-decomposed shard count, each
-        shard ascending, covering every index exactly once."""
+        """At more shards than workers, as the memory governor's
+        ``plan_shards`` requests, LPT produces the requested shard count,
+        each shard ascending, covering every index exactly once."""
         costs = [float(c) for c in [90, 80, 70, 60] + [1] * 28]
-        backend = ProcessPoolBackend(
-            n_workers=2, min_candidates_per_worker=1, shards_per_worker=4
-        )
-        shards = backend._shard_indices(backend._shard_count(len(costs)), costs, len(costs))
+        shards = _split_cost_balanced(costs, 8)
         assert len(shards) == 8
         flattened = sorted(index for shard in shards for index in shard)
         assert flattened == list(range(len(costs)))
@@ -543,6 +526,13 @@ class TestShardOverDecomposition:
         # No shard carries two of the four heavy candidates.
         heavy_per_shard = [sum(1 for i in shard if i < 4) for shard in shards]
         assert max(heavy_per_shard) == 1
+        # Left to itself the backend cuts one shard per worker, capped by
+        # the batch size and by the per-worker minimum.
+        backend = ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1)
+        assert backend._shard_count(len(costs)) == 2
+        assert backend._shard_count(1) == 1
+        gated = ProcessPoolBackend(n_workers=3, min_candidates_per_worker=4)
+        assert gated._shard_count(8) == 2
 
     def test_empty_shards_are_dropped(self):
         # More shards than items with all-equal costs: LPT leaves some empty.
@@ -550,19 +540,25 @@ class TestShardOverDecomposition:
         assert len(shards) == 3
         assert all(shard for shard in shards)
 
-    def test_over_decomposed_mining_parity(self):
+    def test_over_decomposed_mining_parity(self, monkeypatch):
+        """Eight shards on two workers, the finer split the memory governor
+        can demand, mine the serial answer."""
         database = random_database(seed=17)
         config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
         serial = HTPGM(config, backend=SerialBackend()).mine(database)
-        with ProcessPoolBackend(
-            n_workers=2, min_candidates_per_worker=1, shards_per_worker=4
-        ) as backend:
-            parallel = HTPGM(config, backend=backend).mine(database)
-        assert_parity(serial, parallel)
+        planned = []
 
-    def test_invalid_shards_per_worker_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProcessPoolBackend(n_workers=2, shards_per_worker=0)
+        def eight_shards(n_shards, costs, *, max_shards, **_):
+            planned.append(max(n_shards, min(8, max_shards)))
+            return planned[-1]
+
+        with ProcessPoolBackend(
+            n_workers=2, min_candidates_per_worker=1, memory_budget="1G"
+        ) as backend:
+            monkeypatch.setattr(backend.governor, "plan_shards", eight_shards)
+            parallel = HTPGM(config, backend=backend).mine(database)
+        assert 8 in planned
+        assert_parity(serial, parallel)
 
 
 class TestDeadEndSummaries:

@@ -151,7 +151,7 @@ class TestRetryPolicy:
             RetryPolicy(shard_timeout=0.0)
 
     def test_delay_is_deterministic_and_grows(self):
-        policy = RetryPolicy(backoff_seconds=0.1, backoff_multiplier=2.0)
+        policy = RetryPolicy(backoff_seconds=0.1)
         delays = [policy.delay(i, seed=2) for i in range(3)]
         assert delays == [policy.delay(i, seed=2) for i in range(3)]
         assert delays[0] < delays[1] < delays[2]

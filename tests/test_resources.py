@@ -4,8 +4,8 @@ The memory governor (:mod:`repro.core.resources`) promises that a run under
 ``MiningConfig(memory_budget_bytes=...)`` mines the byte-identical pattern
 set and occurrence-store snapshot of an unbudgeted run, whatever memory
 pressure does along the way: budget-aware shard planning, worker watchdog
-aborts, recursive shard splitting, kernel-chunk shrinking, forced
-summarisation and the in-process floor are all output-preserving.  These
+aborts, recursive shard splitting, kernel-chunk shrinking and the in-process
+floor are all output-preserving.  These
 tests drive every one of those paths deterministically — the ``oom`` and
 ``membudget`` fault kinds stand in for real memory exhaustion — across
 fork × spawn start methods and pickle × shared-memory transports, plus the
@@ -414,9 +414,9 @@ class TestGovernorFaultMatrix:
     def test_recursive_splitting_terminates_at_floor(self, baseline):
         database, _serial_session, _serial_result = baseline
         # An inexhaustible fault drives every piece to the one-candidate
-        # floor, through the chunk-shrink and (disallowed here) summarise
-        # steps, into the in-process fallback — where the still-armed plan
-        # proves even that is over budget and the run must fail *cleanly*.
+        # floor, through the chunk-shrink step, into the in-process
+        # fallback — where the still-armed plan proves even that is over
+        # budget and the run must fail *cleanly*.
         plan = FaultPlan.parse("membudget:level=2,times=999")
         backend = ProcessPoolBackend(
             n_workers=2,
@@ -462,25 +462,50 @@ class TestGovernorFaultMatrix:
         )
         assert result.statistics.shard_splits.get(2, 0) >= 1
 
-    def test_degradation_can_force_summaries_when_legal(self, baseline):
+    def test_degradation_chain_never_forces_summaries(self, baseline):
         database, _serial_session, serial_result = baseline
-        # A throwaway session at level >= 3 with transitivity pruning marks
-        # summarisation legal; at the one-candidate floor the chain flips it
-        # on (after the chunk cap bottoms out) without changing the output.
-        plan = FaultPlan.parse("membudget:level=3,times=8")
-        backend = ProcessPoolBackend(
-            n_workers=2,
-            min_candidates_per_worker=1,
-            retry=FAST_RETRY,
-            fault_plan=plan,
-            memory_budget=BUDGET,
-        )
-        session = MiningSession(CONFIG, retain_occurrences=False)
+        # A throwaway session at level >= 3 with transitivity pruning is where
+        # dead-end summarisation applies, yet memory recovery only ever
+        # splits, shrinks kernel chunks and drops to in-process evaluation.
+        def budgeted_backend(spec):
+            return ProcessPoolBackend(
+                n_workers=2,
+                min_candidates_per_worker=1,
+                retry=FAST_RETRY,
+                fault_plan=FaultPlan.parse(spec),
+                memory_budget=BUDGET,
+            )
+
+        backend = budgeted_backend("membudget:level=3,times=8")
         try:
-            result = session.mine(database, backend=backend)
+            result = MiningSession(CONFIG, retain_occurrences=False).mine(
+                database, backend=backend
+            )
         finally:
             backend.close()
         assert mined_tuples(result) == mined_tuples(serial_result)
+        assert result.statistics.shard_splits.get(3, 0) >= 1
+        warnings = result.statistics.warnings
+        assert warnings
+        assert all("split into pieces" in warning for warning in warnings)
+
+        # Inexhaustible faults walk the whole chain down to its failing floor.
+        backend = budgeted_backend("membudget:level=3,times=999")
+        try:
+            with pytest.raises(MiningError, match="memory budget"):
+                MiningSession(CONFIG, retain_occurrences=False).mine(
+                    database, backend=backend
+                )
+        finally:
+            backend.close()
+        steps = ("split into pieces", "kernel chunk cap shrunk", "in-process")
+        for step in steps:
+            assert any(step in warning for warning in backend.warnings), step
+        assert all(
+            any(step in warning for step in steps) for warning in backend.warnings
+        )
+        for warning in warnings + backend.warnings:
+            assert "summaris" not in warning
 
     def test_shared_context_mutations_stay_output_preserving(self, baseline):
         database, serial_session, serial_result = baseline

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
-from repro import DataError, MiningConfig, MiningError, MiningSession
+from repro import DataError, MiningConfig, MiningError, MiningSession, RetryPolicy
 from repro.io import read_session, write_session
 from repro.io.session_io import FORMAT_NAME, FORMAT_VERSION
 
@@ -157,6 +158,34 @@ class TestVersion2Migration:
         migrated_result = loaded.append(list(delta))
         native_result = deep_session.append(list(delta))
         assert mined_tuples(migrated_result) == mined_tuples(native_result)
+
+
+class TestRemovedFields:
+    """Files written before ``MiningConfig.kernel_min_pairs`` and
+    ``RetryPolicy.backoff_multiplier`` were removed still load and append."""
+
+    def test_stale_fields_load_and_append(self, tmp_path):
+        from repro import HTPGM
+
+        database = random_database(1, n_sequences=16)
+        base, delta = split_database(database, 0.75)
+        # Private instances: the default RetryPolicy is shared by every config.
+        config = replace(CONFIG, retry=RetryPolicy())
+        session = MiningSession(config)
+        session.mine(base)
+        # The shape an older writer pickled: both fields in the instance state.
+        object.__setattr__(config, "kernel_min_pairs", 64)
+        object.__setattr__(config.retry, "backoff_multiplier", 2.0)
+        path = write_session(session, tmp_path / "state.bin")
+        payload = pickle.loads(path.read_bytes())
+        assert payload["version"] == FORMAT_VERSION == 3
+        assert payload["config"].kernel_min_pairs == 64
+        assert payload["config"].retry.backoff_multiplier == 2.0
+
+        loaded = read_session(path)
+        assert loaded.config == CONFIG
+        result = loaded.append(list(delta))
+        assert mined_tuples(result) == mined_tuples(HTPGM(CONFIG).mine(database))
 
 
 class TestGuards:

@@ -9,10 +9,10 @@ Three concerns, layered:
   every exit path (happy, worker exception, worker *crash*, double close),
   so ``/dev/shm`` never accumulates ``repro-*`` entries.  The autouse
   fixture in ``conftest.py`` backstops every other test in the suite.
-* Spawn-platform hardening — the coordinator pins its calibrated kernel
-  crossover into the shipped config so spawn workers (which would re-run
-  the timed microprobe and may calibrate differently) cannot change kernel
-  routing mid-run.
+* The worker entry point — ``engine._call_shard`` serves every transport
+  (inherited or shipped payload, pickled or shared-memory response), and
+  workers of every start method route batches by the same module-constant
+  kernel threshold.
 """
 
 from __future__ import annotations
@@ -31,12 +31,9 @@ from repro import (
     RetryPolicy,
     SerialBackend,
 )
-from repro.core import shm
+from repro.core import engine, shm
 from repro.core.bitmap import Bitmap
-from repro.core.engine import (
-    backend_from_config,
-    effective_kernel_min_pairs,
-)
+from repro.core.engine import backend_from_config
 from repro.core.hpg import EventNode, PatternEntry
 from repro.timeseries import EventInstance
 
@@ -72,8 +69,12 @@ def _crashing_shard(payload, items):
     os._exit(13)
 
 
-def _report_kernel_pairs(config, items):
-    return effective_kernel_min_pairs(config)
+def _tag_shard(payload, items):
+    return (payload, list(items))
+
+
+def _rows_shard(payload, items):
+    return {"rows": payload["rows"][items]}
 
 
 class TestSharedArrayStore:
@@ -357,45 +358,59 @@ class TestBackendLifecycle:
             ProcessPoolBackend(n_workers=2, start_method="telepathy")
 
 
-class TestCalibrationPinning:
-    def test_level_context_pins_the_calibrated_crossover(self):
-        session = MiningSession(CONFIG)
-        context = session._level_context(
+class TestCallShard:
+    """The one worker entry point, called in-process in each transport mode."""
+
+    def test_inherited_payload_when_func_is_none(self, monkeypatch):
+        monkeypatch.setattr(engine, "_FORK_PAYLOAD", (_tag_shard, "inherited"))
+        result = engine._call_shard(None, None, [1, 2], None, None)
+        assert result == ("inherited", [1, 2])
+
+    def test_shipped_func_and_payload(self):
+        assert engine._call_shard(_tag_shard, "shipped", [3], None, None) == (
+            "shipped",
+            [3],
+        )
+
+    def test_shared_request_is_mapped(self):
+        request, store = shm.pack_request({"rows": np.arange(10, dtype=np.int32)})
+        try:
+            result = engine._call_shard(_rows_shard, request, [2, 5], None, None)
+        finally:
+            store.unlink()
+        np.testing.assert_array_equal(result["rows"], [2, 5])
+
+    def test_response_travels_through_the_named_block(self):
+        name = shm.generate_block_name()
+        payload = {"rows": np.arange(10, dtype=np.int32)}
+        outcome = engine._call_shard(_rows_shard, payload, [1, 4, 7], name, None)
+        assert isinstance(outcome, shm.SharedOutcome)
+        assert outcome.name == name
+        restored = shm.load_shared(outcome)
+        np.testing.assert_array_equal(restored["rows"], [1, 4, 7])
+        assert name not in _shm_entries()
+
+    def test_shm_directive_falls_back_to_pickle(self):
+        name = shm.generate_block_name()
+        payload = {"rows": np.arange(10, dtype=np.int32)}
+        outcome = engine._call_shard(_rows_shard, payload, [3], name, ("shm", 0.0))
+        assert isinstance(outcome, shm.SharedFallback)
+        np.testing.assert_array_equal(outcome.result["rows"], [3])
+        assert name not in _shm_entries()
+
+    def test_pickle_directive_raises_before_evaluation(self):
+        with pytest.raises(pickle.PicklingError):
+            engine._call_shard(_failing_shard, None, [1], None, ("pickle", 0.0))
+
+
+class TestKernelThreshold:
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_level_context_ships_the_config_unchanged(self, vectorized):
+        config = CONFIG.with_vectorized(vectorized)
+        context = MiningSession(config)._level_context(
             _graph_stub(), level=2, min_count=1, candidates=[]
         )
-        assert context.config.kernel_min_pairs == effective_kernel_min_pairs(CONFIG)
-
-    def test_explicit_setting_is_shipped_untouched(self):
-        config = MiningConfig(
-            min_support=0.3, min_confidence=0.3, kernel_min_pairs=512
-        )
-        session = MiningSession(config)
-        context = session._level_context(
-            _graph_stub(), level=2, min_count=1, candidates=[]
-        )
-        assert context.config.kernel_min_pairs == 512
-
-    def test_scalar_config_is_not_pinned(self):
-        config = CONFIG.with_vectorized(False)
-        session = MiningSession(config)
-        context = session._level_context(
-            _graph_stub(), level=2, min_count=1, candidates=[]
-        )
-        assert context.config.kernel_min_pairs is None
-
-    def test_spawn_workers_honour_the_pinned_value(self):
-        # A spawn worker re-runs module init; a pinned kernel_min_pairs must
-        # win over whatever its own microprobe would have calibrated.
-        from dataclasses import replace
-
-        pinned = replace(CONFIG, kernel_min_pairs=777)
-        with ProcessPoolBackend(
-            n_workers=2, min_candidates_per_worker=1, start_method="spawn"
-        ) as backend:
-            reported = backend.map_shards(
-                _report_kernel_pairs, pinned, list(range(8))
-            )
-        assert reported and all(value == 777 for value in reported)
+        assert context.config == config
 
 
 def _graph_stub():
