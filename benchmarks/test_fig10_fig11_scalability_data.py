@@ -15,10 +15,14 @@ import pytest
 
 from repro.evaluation import ExperimentRunner, format_series
 
-from _bench_utils import emit, smoke_mode
+from _bench_utils import assert_min_speedup, benchmark_rounds, emit
 
 FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 METHODS = ("A-HTPGM", "E-HTPGM", "TPMiner", "IEMiner", "H-DFS")
+BASELINES = ("TPMiner", "IEMiner", "H-DFS")
+#: At the largest size E-HTPGM may take at most this multiple of the fastest
+#: baseline's runtime.
+MAX_SLOWDOWN = 1.1
 A_DENSITY = 0.6
 
 
@@ -54,24 +58,32 @@ def test_scalability_varying_data_size(figure, dataset_fixture, config_fixture, 
                 curves[method].append(round(time_method(runner, method), 3))
         return curves
 
-    curves = benchmark.pedantic(run, rounds=1, iterations=1)
+    next_round = benchmark_rounds(benchmark, run, label="runtime (s)")
 
-    emit(
-        format_series(
-            "% of sequences",
-            [f"{f:.0%}" for f in FRACTIONS],
-            curves,
-            title=f"{figure} ({bench.name}): runtime (s) vs data size",
+    def measure():
+        curves, label = next_round()
+        emit(
+            format_series(
+                "% of sequences",
+                [f"{f:.0%}" for f in FRACTIONS],
+                curves,
+                title=f"{figure} ({bench.name}): {label} vs data size",
+            )
         )
+        exact = curves["E-HTPGM"][-1]
+        allowed = MAX_SLOWDOWN * min(curves[m][-1] for m in BASELINES)
+        return (allowed / exact if exact else float("inf")), curves
+
+    # At the largest size the exact miner still beats the best baseline, within
+    # MAX_SLOWDOWN.  The runs take ~0.15 s, so a loaded host gets one
+    # re-measurement and then a skip, not a failure.
+    _, curves = assert_min_speedup(
+        measure,
+        1.0,
+        f"{figure}: {MAX_SLOWDOWN} x fastest baseline / E-HTPGM at 100%",
     )
-
-    if smoke_mode():
-        pytest.skip(
-            "smoke run: workloads too small for the runtime-ordering claims"
-        )
-    # At the largest size the exact miner still beats the best baseline, and the
-    # slowest baseline's runtime grows from the smallest to the largest setting.
+    # The slowest baseline's runtime grows from the smallest to the largest
+    # setting.
     final = {method: curves[method][-1] for method in METHODS}
-    assert final["E-HTPGM"] <= min(final["TPMiner"], final["IEMiner"], final["H-DFS"]) * 1.1
-    slowest = max(("TPMiner", "IEMiner", "H-DFS"), key=lambda m: final[m])
+    slowest = max(BASELINES, key=lambda m: final[m])
     assert curves[slowest][-1] >= curves[slowest][0]

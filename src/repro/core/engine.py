@@ -31,8 +31,8 @@ by candidate index), each shard is re-sorted into ascending candidate order,
 and the merge applies the inverse permutation — so the merged node order, and
 therefore the mined pattern set and the golden fixtures, is byte-identical to
 a serial run while skewed levels no longer wait on one overloaded shard.
-Without cost estimates (or with ``cost_balanced=False``) the backend falls
-back to contiguous equal-count shards.
+Without cost estimates the backend falls back to contiguous equal-count
+shards.
 
 *Summary-only final-level payloads.*  When the coordinator knows a level is
 the last one (``LevelContext.final_level``, set by the miner when
@@ -1095,8 +1095,8 @@ class ExecutionBackend(Protocol):
     Backends that balance shards by candidate cost expose ``wants_costs =
     True``; the miner checks it via ``getattr(backend, "wants_costs",
     False)`` and skips cost estimation entirely for backends that would
-    discard the estimates (the serial backend, or a process backend with
-    ``cost_balanced=False``).
+    discard the estimates (the serial backend, or any backend class that
+    sets ``wants_costs = False``).
     """
 
     name: str
@@ -1320,11 +1320,13 @@ class ProcessPoolBackend:
 
     With per-candidate cost estimates (supplied by the miner) the candidates
     are partitioned by greedy LPT into near-equal-*cost* shards; without them
-    (or with ``cost_balanced=False``) into contiguous near-equal-*count*
-    shards.  Either way each shard keeps ascending candidate order and the
-    merge restores the global candidate order via the inverse permutation, so
-    the node order is byte-identical to a serial run; statistics merge via
-    :meth:`MiningStatistics.merge_shard` (counters add, wall-clock maxes).
+    into contiguous near-equal-*count* shards.  The miner supplies estimates
+    because the class sets ``wants_costs``; a subclass that clears it gets
+    the contiguous split.  Either way each shard keeps ascending candidate
+    order and the merge restores the global candidate order via the inverse
+    permutation, so the node order is byte-identical to a serial run;
+    statistics merge via :meth:`MiningStatistics.merge_shard` (counters add,
+    wall-clock maxes).
 
     Two transports are used for the worker payload (the level context or, for
     :meth:`map_shards`, an arbitrary picklable object), which is by far the
@@ -1372,12 +1374,13 @@ class ProcessPoolBackend:
     """
 
     name = "process"
+    #: Shards are balanced by the miner's per-candidate cost estimates.
+    wants_costs = True
 
     def __init__(
         self,
         n_workers: int | None = None,
         min_candidates_per_worker: int = 4,
-        cost_balanced: bool = True,
         shared_memory: bool = False,
         start_method: str | None = None,
         retry: RetryPolicy | None = None,
@@ -1404,7 +1407,6 @@ class ProcessPoolBackend:
             )
         self.n_workers = n_workers if n_workers is not None else available_workers()
         self.min_candidates_per_worker = min_candidates_per_worker
-        self.cost_balanced = cost_balanced
         self.start_method = start_method
         self.shared_memory = bool(shared_memory)
         #: Whether the zero-copy transport is actually in effect (requested
@@ -1412,8 +1414,6 @@ class ProcessPoolBackend:
         self.shared_memory_active = (
             self.shared_memory and shm.shared_memory_available()
         )
-        #: Only a cost-balancing backend can use the miner's estimates.
-        self.wants_costs = cost_balanced
         #: How crashed/hung/failed shards are resubmitted (see
         #: :class:`~repro.core.config.RetryPolicy`).
         self.retry = retry if retry is not None else RetryPolicy()
@@ -1585,7 +1585,7 @@ class ProcessPoolBackend:
     def _shard_indices(
         self, n_shards: int, costs: Sequence[float] | None, n_items: int
     ) -> list[list[int]]:
-        if costs is not None and self.cost_balanced:
+        if costs is not None:
             return _split_cost_balanced(costs, n_shards)
         return _split_contiguous_indices(n_items, n_shards)
 
@@ -2003,7 +2003,6 @@ class ProcessPoolBackend:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"ProcessPoolBackend(n_workers={self.n_workers}, "
-            f"cost_balanced={self.cost_balanced}, "
             f"shared_memory={self.shared_memory})"
         )
 

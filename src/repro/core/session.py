@@ -9,18 +9,24 @@ from scratch repeats almost all of yesterday's work.
 
 :class:`MiningSession` makes that state explicit and serialisable:
 
-* :meth:`MiningSession.mine` runs the ordinary level-wise HTPGM search and
-  *keeps* the constructed state — every event's bitmap and instance lists
-  (frequent or not), the full node trees with their occurrence evidence, the
-  statistics;
 * :meth:`MiningSession.append` folds new sequences into that state
   *incrementally*: level-1 bitmaps and instance lists are extended in place,
   and at every level only the candidates whose support sets can actually
   change — combinations whose events co-occur in a delta sequence, or that
   involve a newly frequent event — are re-evaluated; every other node is
   reused as-is (re-checked against the new thresholds, never re-computed);
+* :meth:`MiningSession.mine` is an append onto the empty session: with no
+  stored state every frequent event is newly frequent, so every candidate
+  is evaluated, in candidate order — the ordinary level-wise HTPGM search.
+  The session *keeps* the constructed state — every event's bitmap and
+  instance lists (frequent or not), the full node trees with their
+  occurrence evidence, the statistics;
 * :mod:`repro.io.session_io` saves and loads a session, so the mining state
   can outlive the process that built it.
+
+``mine``, ``append`` and the checkpoint ``resume`` share one level loop
+(:meth:`MiningSession._run_levels`) and one per-level routine
+(:meth:`MiningSession._merge_level`).
 
 The correctness contract (enforced by ``tests/test_session.py``) is exact:
 
@@ -48,7 +54,7 @@ them.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Set
 from itertools import combinations
 
 import numpy as np
@@ -65,7 +71,7 @@ from .engine import (
     apriori_pair_prune,
     backend_from_config,
 )
-from .events import EventKey, TemporalEvent, collect_events
+from .events import EventKey, collect_events
 from .hpg import (
     CombinationNode,
     EventNode,
@@ -123,9 +129,9 @@ def _backend_uses_costs(backend: ExecutionBackend, n_candidates: int) -> bool:
 
     Estimates matter only to a cost-balancing backend (``wants_costs``) that
     will actually shard the batch (``would_shard``); for every other
-    combination — the serial backend, ``cost_balanced=False``, or a level too
-    small to split — the estimates would be discarded, so the miner skips the
-    estimation pass entirely.
+    combination — the serial backend, a backend class that sets
+    ``wants_costs = False``, or a level too small to split — the estimates
+    would be discarded, so the miner skips the estimation pass entirely.
     """
     if not getattr(backend, "wants_costs", False):
         return False
@@ -266,7 +272,8 @@ class MiningSession:
     statistics:
         Work counters of the most recent operation (:meth:`mine` or
         :meth:`append`).  Append statistics count only the incremental work;
-        ``patterns_found`` is always rewritten to describe the merged state.
+        ``events_scanned``, ``frequent_events`` and ``patterns_found``
+        always describe the merged state.
     """
 
     def __init__(
@@ -317,6 +324,11 @@ class MiningSession:
     ) -> MiningResult:
         """Mine all frequent temporal patterns, keeping the level state.
 
+        This is an :meth:`append` of ``database`` onto the empty session,
+        except that ``database`` is mined as given: its sequence ids are
+        already ``0..n-1``, so its sequences are neither copied nor
+        re-indexed.
+
         ``backend`` evaluates the level candidates; ``None`` resolves one
         from ``config.engine`` for this call and closes it afterwards, an
         injected backend stays owned by the caller.
@@ -333,8 +345,7 @@ class MiningSession:
             )
         if len(database) == 0:
             raise MiningError("cannot mine an empty sequence database")
-        checkpointing = self.config.checkpoint_path is not None
-        if checkpointing:
+        if self.config.checkpoint_path is not None:
             # Checkpoints reuse write_session, so they inherit its contract.
             if not self.retain_occurrences:
                 raise MiningError(
@@ -346,62 +357,45 @@ class MiningSession:
                     "sessions carrying event/pair filters cannot be "
                     "checkpointed; filters are arbitrary callables"
                 )
+        return self._extend(database, backend, resumable=True)
 
-        plan = faults.active_plan()
-        started = time.perf_counter()
-        config = self.config
-        stats = MiningStatistics(n_sequences=len(database))
-        min_count = config.support_count(len(database))
-        graph = HierarchicalPatternGraph(n_sequences=len(database))
-        self._pair_patterns = None
+    def append(
+        self,
+        new_sequences: SequenceDatabase | Iterable[TemporalSequence],
+        backend: ExecutionBackend | None = None,
+    ) -> MiningResult:
+        """Fold new sequences into the mined state incrementally.
 
-        backend, owns_backend = self._resolve_backend(backend)
-        try:
-            all_events = self._mine_single_events(database, graph, stats, min_count)
-            if checkpointing:
-                # Publish the in-progress state so every checkpoint below can
-                # go through the ordinary session writer; on failure the
-                # except arm rolls the in-memory session back to unmined.
-                self.n_sequences = len(database)
-                self.events = all_events
-                self.graph = graph
-                self.statistics = stats
-                self._write_checkpoint(2)
-            max_size = config.max_pattern_size
-            if max_size is None or max_size >= 2:
-                faults.coordinator_exit(plan, 2)
-                self._mine_pairs(graph, stats, min_count, backend)
-                self._write_checkpoint(3)
-                level = 3
-                while (max_size is None or level <= max_size) and graph.nodes_at(
-                    level - 1
-                ):
-                    faults.coordinator_exit(plan, level)
-                    if not self._mine_level(graph, stats, min_count, level, backend):
-                        break
-                    self._write_checkpoint(level + 1)
-                    level += 1
-        except BaseException:
-            if checkpointing:
-                # The on-disk checkpoint survives for resume(); in memory the
-                # session reverts to unmined so a retry starts clean.
-                self.n_sequences = 0
-                self.events = {}
-                self.graph = None
-                self.statistics = None
-                self._mining_state = None
-            raise
-        finally:
-            if owns_backend:
-                backend.close()
+        The new sequences are re-indexed to follow the existing ones (their
+        incoming sequence ids are ignored), exactly as if they had been the
+        last rows of the original database.  Only candidates whose support
+        sets can change — all events co-occurring in a delta sequence, or a
+        newly frequent event involved — are re-evaluated (through
+        ``backend``, so appends parallelise like full mines); every other
+        node is reused after a constant-time threshold re-check.  An append
+        never writes a checkpoint.
 
-        runtime = time.perf_counter() - started
-        self.n_sequences = len(database)
-        self.events = all_events
-        self.graph = graph
-        self.statistics = stats
-        self._write_checkpoint(None)
-        return self._build_result(graph, stats, runtime, backend.name)
+        Invariant: the returned result is identical — patterns, supports,
+        confidences, order — to mining the concatenated database from
+        scratch.
+        """
+        if self.graph is None:
+            raise MiningError("append() needs mined state; call mine() first")
+        if not self.retain_occurrences:
+            raise MiningError(
+                "this session was mined without retained occurrences "
+                "(retain_occurrences=False) and cannot be appended to; "
+                "mine a MiningSession(retain_occurrences=True) instead"
+            )
+        delta = SequenceDatabase(
+            [
+                TemporalSequence(self.n_sequences + offset, list(sequence.instances))
+                for offset, sequence in enumerate(new_sequences)
+            ]
+        )
+        result = self._extend(delta, backend, resumable=False)
+        self.appends += 1
+        return result
 
     def resume(
         self, database: SequenceDatabase, backend: ExecutionBackend | None = None
@@ -434,42 +428,23 @@ class MiningSession:
                 f"checkpoint was mining {self.n_sequences}; resume() needs "
                 "the exact database of the interrupted run"
             )
-        next_level = int(state["next_level"])
 
-        plan = faults.active_plan()
         started = time.perf_counter()
-        config = self.config
-        stats = self.statistics
-        min_count = config.support_count(self.n_sequences)
-        graph = self.graph
-        self._pair_patterns = None
-
         backend, owns_backend = self._resolve_backend(backend)
         try:
-            max_size = config.max_pattern_size
-            level = next_level
-            if level == 2 and (max_size is None or max_size >= 2):
-                faults.coordinator_exit(plan, 2)
-                self._mine_pairs(graph, stats, min_count, backend)
-                self._write_checkpoint(3)
-                level = 3
-            while (
-                level >= 3
-                and (max_size is None or level <= max_size)
-                and graph.nodes_at(level - 1)
-            ):
-                faults.coordinator_exit(plan, level)
-                if not self._mine_level(graph, stats, min_count, level, backend):
-                    break
-                self._write_checkpoint(level + 1)
-                level += 1
+            # The levels still to run have no stored state: every candidate
+            # is evaluated, exactly as in the interrupted mine().
+            self._run_levels(
+                self.graph, self.statistics, backend, int(state["next_level"]),
+                old_graph=None, delta_ids={}, resumable=True,
+            )
         finally:
             if owns_backend:
                 backend.close()
 
         runtime = time.perf_counter() - started
         self._write_checkpoint(None)
-        return self._build_result(graph, stats, runtime, backend.name)
+        return self._build_result(self.graph, self.statistics, runtime, backend.name)
 
     def result(self) -> MiningResult:
         """Rebuild the :class:`MiningResult` of completed mined state.
@@ -505,188 +480,175 @@ class MiningSession:
 
         write_session(self, self.config.checkpoint_path)
 
-    def append(
+    # ------------------------------------------------------------------ the level loop
+    def _extend(
         self,
-        new_sequences: SequenceDatabase | Iterable[TemporalSequence],
-        backend: ExecutionBackend | None = None,
+        delta: SequenceDatabase,
+        backend: ExecutionBackend | None,
+        resumable: bool,
     ) -> MiningResult:
-        """Fold new sequences into the mined state incrementally.
+        """Fold ``delta`` into the session state: level 1, then every level.
 
-        The new sequences are re-indexed to follow the existing ones (their
-        incoming sequence ids are ignored), exactly as if they had been the
-        last rows of the original database.  Only candidates whose support
-        sets can change — all events co-occurring in a delta sequence, or a
-        newly frequent event involved — are re-evaluated (through
-        ``backend``, so appends parallelise like full mines); every other
-        node is reused after a constant-time threshold re-check.
-
-        Invariant: the returned result is identical — patterns, supports,
-        confidences, order — to mining the concatenated database from
-        scratch.
+        ``delta``'s sequence ids must continue the session's
+        (``n_sequences, n_sequences + 1, ...``).  The new state is published
+        right after level 1, so every checkpoint can go through the ordinary
+        session writer; any failure restores the state from before the call,
+        so a retry starts clean (the on-disk checkpoint survives for
+        :meth:`resume`).  ``resumable`` is True for :meth:`mine`, which
+        checkpoints, and False for :meth:`append`, which never does.
         """
-        if self.graph is None:
-            raise MiningError("append() needs mined state; call mine() first")
-        if not self.retain_occurrences:
-            raise MiningError(
-                "this session was mined without retained occurrences "
-                "(retain_occurrences=False) and cannot be appended to; "
-                "mine a MiningSession(retain_occurrences=True) instead"
-            )
-
         started = time.perf_counter()
-        config = self.config
-        delta_db = SequenceDatabase(
-            [
-                TemporalSequence(self.n_sequences + offset, list(sequence.instances))
-                for offset, sequence in enumerate(new_sequences)
-            ]
+        previous = (
+            self.n_sequences, self.events, self.graph, self.statistics,
+            self._mining_state,
         )
-        n_new = self.n_sequences + len(delta_db)
-        min_count = config.support_count(n_new)
-        stats = MiningStatistics(n_sequences=n_new)
         old_graph = self.graph
-        self._pair_patterns = None
-
-        # ---- level 1: extend bitmaps and instance lists with the delta scan
-        level_start = time.perf_counter()
-        delta_events = collect_events(delta_db)
-        merged_events, delta_ids = self._merge_level1(delta_events, n_new)
-        graph = HierarchicalPatternGraph(n_sequences=n_new)
-        for key, node in merged_events.items():
-            if node.support >= min_count:
-                graph.add_event_node(node)
-        newly_frequent = {
-            key for key in graph.level1 if key not in old_graph.level1
-        }
-        stats.events_scanned = len(merged_events)
-        stats.frequent_events = len(graph.level1)
-        stats.patterns_found[1] = len(graph.level1)
-        stats.level_seconds[1] = time.perf_counter() - level_start
+        n_sequences = self.n_sequences + len(delta)
+        graph = HierarchicalPatternGraph(n_sequences=n_sequences)
+        stats = MiningStatistics(n_sequences=n_sequences)
 
         backend, owns_backend = self._resolve_backend(backend)
         try:
-            max_size = config.max_pattern_size
-            if max_size is None or max_size >= 2:
-                self._append_level(
-                    graph, stats, min_count, 2, backend, old_graph, delta_ids,
-                    newly_frequent,
-                )
-                level = 3
-                while (max_size is None or level <= max_size) and graph.nodes_at(
-                    level - 1
-                ):
-                    if not self._append_level(
-                        graph, stats, min_count, level, backend, old_graph,
-                        delta_ids, newly_frequent,
-                    ):
-                        break
-                    level += 1
+            events, delta_ids = self._merge_level1(delta, graph, stats)
+            self.n_sequences = n_sequences
+            self.events = events
+            self.graph = graph
+            self.statistics = stats
+            if resumable:
+                self._write_checkpoint(2)
+            self._run_levels(
+                graph, stats, backend, 2, old_graph, delta_ids, resumable
+            )
+        except BaseException:
+            (
+                self.n_sequences, self.events, self.graph, self.statistics,
+                self._mining_state,
+            ) = previous
+            raise
         finally:
             if owns_backend:
                 backend.close()
 
         runtime = time.perf_counter() - started
-        self.n_sequences = n_new
-        self.events = merged_events
-        self.graph = graph
-        self.statistics = stats
-        self.appends += 1
+        if resumable:
+            self._write_checkpoint(None)
         return self._build_result(graph, stats, runtime, backend.name)
 
-    # ------------------------------------------------------------------ level 1
-    def _mine_single_events(
+    def _run_levels(
         self,
-        database: SequenceDatabase,
         graph: HierarchicalPatternGraph,
         stats: MiningStatistics,
-        min_count: int,
-    ) -> dict[EventKey, EventNode]:
-        """Alg. 1 lines 1–4: frequent single events via one database scan.
+        backend: ExecutionBackend,
+        level: int,
+        old_graph: HierarchicalPatternGraph | None,
+        delta_ids: dict[EventKey, Set[int]],
+        resumable: bool,
+    ) -> None:
+        """Alg. 1 lines 5–20: run the levels from ``level`` (>= 2) upwards.
 
-        Returns the level-1 nodes of *every* event passing the filter when
-        occurrences are retained (appends need the infrequent ones too);
-        otherwise an empty dict, so a throwaway session holds no extra state.
+        ``old_graph`` is the state the levels merge with, ``None`` when
+        there is none (:meth:`mine`, :meth:`resume`); then every frequent
+        event is newly frequent and every candidate is evaluated.
+        ``resumable`` runs (:meth:`mine`, :meth:`resume`) arm the
+        coordinator-exit fault hook before each level and checkpoint after
+        each level that produced nodes; :meth:`append` does neither.  The
+        loop stops at ``max_pattern_size`` or after a level that produced
+        no node, since nothing can grow from it.
         """
-        level_start = time.perf_counter()
-        events = collect_events(database)
-        stats.events_scanned = len(events)
-        all_nodes: dict[EventKey, EventNode] = {}
-        for key, event in events.items():
-            if self.event_filter is not None and not self.event_filter(key):
-                continue
-            bitmap = Bitmap.from_indices(
-                len(database), event.instances_by_sequence.keys()
-            )
-            node = EventNode(
-                event=key,
-                bitmap=bitmap,
-                instances_by_sequence=event.instances_by_sequence,
-            )
-            if self.retain_occurrences:
-                all_nodes[key] = node
-            if bitmap.count() >= min_count:
-                if self.config.vectorized:
-                    _prebuild_columnar_views(node)
-                graph.add_event_node(node)
-        stats.frequent_events = len(graph.level1)
-        stats.patterns_found[1] = len(graph.level1)
-        stats.level_seconds[1] = time.perf_counter() - level_start
-        return all_nodes
+        config = self.config
+        min_count = config.support_count(graph.n_sequences)
+        old_levels = old_graph.levels if old_graph is not None else {}
+        newly_frequent = {
+            key
+            for key in graph.level1
+            if old_graph is None or key not in old_graph.level1
+        }
+        plan = faults.active_plan() if resumable else None
+        self._pair_patterns = None
+        max_size = config.max_pattern_size
+        while (max_size is None or level <= max_size) and (
+            level == 2 or graph.nodes_at(level - 1)
+        ):
+            faults.coordinator_exit(plan, level)
+            if not self._merge_level(
+                graph, stats, min_count, level, backend, old_levels, delta_ids,
+                newly_frequent,
+            ):
+                break
+            if resumable:
+                self._write_checkpoint(level + 1)
+            level += 1
 
+    # ------------------------------------------------------------------ level 1
     def _merge_level1(
         self,
-        delta_events: dict[EventKey, TemporalEvent],
-        n_new: int,
-    ) -> tuple[dict[EventKey, EventNode], dict[EventKey, set[int]]]:
-        """Merge the delta scan into the all-event level-1 state.
+        delta: SequenceDatabase,
+        graph: HierarchicalPatternGraph,
+        stats: MiningStatistics,
+    ) -> tuple[dict[EventKey, EventNode], dict[EventKey, Set[int]]]:
+        """Alg. 1 lines 1–4: merge a scan of ``delta`` into the level-1 state.
 
-        Returns the merged nodes (bitmaps grown to ``n_new``, instance dicts
-        extended with the delta sequences) plus, for each event occurring in
-        the delta, the set of delta sequence ids containing it — the raw
-        material of the *touched candidate* test.
+        Every event of the stored all-event state (empty before the first
+        mine) gets its bitmap grown to ``graph.n_sequences`` and its
+        instance lists extended with the delta sequences; delta events
+        passing ``event_filter`` that the state lacks are added.  Events
+        meeting the support threshold become ``graph``'s level 1, with
+        their columnar views prebuilt for the delta sequences.
+
+        Returns the all-event state to keep (empty for a throwaway session,
+        which never appends) plus, for each frequent event occurring in the
+        delta, the delta sequence ids containing it — the raw material of
+        the *touched candidate* test.
         """
-        vectorized = self.config.vectorized
+        level_start = time.perf_counter()
+        n_sequences = graph.n_sequences
+        delta_events = collect_events(delta)
         merged: dict[EventKey, EventNode] = {}
-        delta_ids: dict[EventKey, set[int]] = {}
         for key, node in self.events.items():
-            delta = delta_events.get(key)
-            if delta is None:
-                merged_node = EventNode(
-                    event=key,
-                    bitmap=node.bitmap.resized(n_new),
-                    instances_by_sequence=node.instances_by_sequence,
-                )
-                merged_node.adopt_sequence_arrays(node)
-                merged[key] = merged_node
-                continue
-            instances = dict(node.instances_by_sequence)
-            instances.update(delta.instances_by_sequence)
-            bitmap = node.bitmap.resized(n_new)
-            for sequence_id in delta.instances_by_sequence:
-                bitmap.set(sequence_id)
+            bitmap = node.bitmap.resized(n_sequences)
+            instances = node.instances_by_sequence
+            added = delta_events.get(key)
+            if added is not None:
+                instances = {**instances, **added.instances_by_sequence}
+                for sequence_id in added.instances_by_sequence:
+                    bitmap.set(sequence_id)
             merged_node = EventNode(
                 event=key, bitmap=bitmap, instances_by_sequence=instances
             )
-            # Appends only add new sequence ids, so the old columnar views
-            # stay valid; extend the cache in place with the delta sequences
-            # instead of rebuilding every sequence's arrays from scratch.
+            # Appends only add new sequence ids, so the stored columnar views
+            # stay valid; the merged node takes them over instead of
+            # rebuilding every sequence's arrays from scratch.
             merged_node.adopt_sequence_arrays(node)
-            if vectorized:
-                _prebuild_columnar_views(merged_node, delta.instances_by_sequence)
             merged[key] = merged_node
-            delta_ids[key] = set(delta.instances_by_sequence)
-        for key, delta in delta_events.items():
+        for key, added in delta_events.items():
             if key in merged:
                 continue
             if self.event_filter is not None and not self.event_filter(key):
                 continue
             merged[key] = EventNode(
                 event=key,
-                bitmap=Bitmap.from_indices(n_new, delta.instances_by_sequence.keys()),
-                instances_by_sequence=delta.instances_by_sequence,
+                bitmap=Bitmap.from_indices(
+                    n_sequences, added.instances_by_sequence.keys()
+                ),
+                instances_by_sequence=added.instances_by_sequence,
             )
-            delta_ids[key] = set(delta.instances_by_sequence)
-        return merged, delta_ids
+
+        min_count = self.config.support_count(n_sequences)
+        delta_ids: dict[EventKey, Set[int]] = {}
+        for key, node in merged.items():
+            if node.support < min_count:
+                continue
+            graph.add_event_node(node)
+            added = delta_events.get(key)
+            if added is not None:
+                delta_ids[key] = added.instances_by_sequence.keys()
+                if self.config.vectorized:
+                    _prebuild_columnar_views(node, delta_ids[key])
+        stats.events_scanned = len(merged)
+        stats.frequent_events = len(graph.level1)
+        stats.patterns_found[1] = len(graph.level1)
+        stats.level_seconds[1] = time.perf_counter() - level_start
+        return (merged if self.retain_occurrences else {}), delta_ids
 
     # ------------------------------------------------------------------ candidate generation
     def _generate_pair_candidates(
@@ -741,108 +703,61 @@ class MiningSession:
                 candidates.add(tuple(sorted((*node.events, event))))
         return sorted(candidates)
 
-    # ------------------------------------------------------------------ full-mine levels
-    def _mine_pairs(
-        self,
-        graph: HierarchicalPatternGraph,
-        stats: MiningStatistics,
-        min_count: int,
-        backend: ExecutionBackend,
-    ) -> None:
-        """Alg. 1 lines 5–14: frequent 2-event patterns.
-
-        Generates the candidate pairs (applying A-HTPGM's ``pair_filter``
-        here, in the coordinating process) and estimates each pair's
-        evaluation cost, then delegates the per-pair evaluation to the
-        backend.
-        """
-        level_start = time.perf_counter()
-        candidate_pairs = self._generate_pair_candidates(graph)
-        costs = (
-            _estimate_pair_costs(graph, candidate_pairs, self.config, min_count)
-            if _backend_uses_costs(backend, len(candidate_pairs))
-            else None
-        )
-        context = self._level_context(graph, 2, min_count, candidate_pairs)
-        self._run_level(
-            graph, stats, backend, context, candidate_pairs, level_start, costs
-        )
-
-    def _mine_level(
+    # ------------------------------------------------------------------ levels k >= 2
+    def _merge_level(
         self,
         graph: HierarchicalPatternGraph,
         stats: MiningStatistics,
         min_count: int,
         level: int,
         backend: ExecutionBackend,
-    ) -> bool:
-        """Alg. 1 lines 15–20: frequent k-event patterns for one level."""
-        level_start = time.perf_counter()
-        ordered_candidates = self._generate_combination_candidates(
-            graph, stats, level
-        )
-        costs = (
-            _estimate_combination_costs(graph, ordered_candidates, level)
-            if _backend_uses_costs(backend, len(ordered_candidates))
-            else None
-        )
-        context = self._level_context(graph, level, min_count, ordered_candidates)
-        return self._run_level(
-            graph, stats, backend, context, ordered_candidates, level_start, costs
-        )
-
-    # ------------------------------------------------------------------ incremental levels
-    def _append_level(
-        self,
-        graph: HierarchicalPatternGraph,
-        stats: MiningStatistics,
-        min_count: int,
-        level: int,
-        backend: ExecutionBackend,
-        old_graph: HierarchicalPatternGraph,
-        delta_ids: dict[EventKey, set[int]],
+        old_levels: dict[int, dict[tuple[EventKey, ...], CombinationNode]],
+        delta_ids: dict[EventKey, Set[int]],
         newly_frequent: set[EventKey],
     ) -> bool:
-        """Merge one level of the new state: re-evaluate touched, reuse the rest.
+        """Build one level of the new state: evaluate touched, reuse the rest.
 
-        Candidates are generated exactly as a from-scratch run over the
-        concatenated database would generate them (the merged ``(k-1)`` state
+        Candidates are generated from the merged ``(k-1)`` state (which
         equals the from-scratch one by induction), then partitioned:
 
         * *touched* candidates — support set able to change — go through the
-          backend for full re-evaluation;
-        * every other candidate either has a stored node whose patterns are
-          re-checked against the grown support threshold and event supports
-          (supports and confidences of untouched patterns are unchanged, so
-          the check is constant-time per pattern), or provably mined nothing
-          before and would mine nothing now.
+          backend for full evaluation, with cost estimates when the backend
+          would use them;
+        * every other candidate either has a stored node in ``old_levels``
+          whose patterns are re-checked against the grown support threshold
+          and event supports (supports and confidences of untouched patterns
+          are unchanged, so the check is constant-time per pattern), or
+          provably mined nothing before and would mine nothing now.
 
-        The merge walks the canonical candidate order, so node order — and
-        the final result — is byte-identical to a from-scratch run.
+        Without stored state every candidate is touched.  The merge walks
+        the canonical candidate order, so node order — and the final result
+        — is byte-identical to a from-scratch run.  Returns whether the
+        level produced any node.
+
+        ``level_seconds`` is assembled as *evaluation time + coordinator
+        overhead*: the backend reports the evaluation wall-clock (for parallel
+        backends: the slowest shard, per
+        :meth:`MiningStatistics.merge_shard`), and the time this process spent
+        generating candidates, building the context and attaching the
+        resulting nodes is added on top.  Summing per-shard times instead
+        would overstate the level cost by up to the worker count.
         """
         level_start = time.perf_counter()
         if level == 2:
             generated = self._generate_pair_candidates(graph)
         else:
             generated = self._generate_combination_candidates(graph, stats, level)
-        touched = [
-            candidate
+        is_touched = [
+            _support_can_change(candidate, delta_ids, newly_frequent)
             for candidate in generated
-            if _support_can_change(candidate, delta_ids, newly_frequent)
         ]
-
-        if level == 2:
-            costs = (
-                _estimate_pair_costs(graph, touched, self.config, min_count)
-                if _backend_uses_costs(backend, len(touched))
-                else None
-            )
-        else:
-            costs = (
-                _estimate_combination_costs(graph, touched, level)
-                if _backend_uses_costs(backend, len(touched))
-                else None
-            )
+        touched = [c for c, flag in zip(generated, is_touched) if flag]
+        costs = None
+        if _backend_uses_costs(backend, len(touched)):
+            if level == 2:
+                costs = _estimate_pair_costs(graph, touched, self.config, min_count)
+            else:
+                costs = _estimate_combination_costs(graph, touched, level)
         context = self._level_context(graph, level, min_count, touched)
         backend_start = time.perf_counter()
         outcome = backend.run(context, touched, costs)
@@ -850,23 +765,25 @@ class MiningSession:
         stats.absorb_counters(outcome.stats)
 
         evaluated = {node.events: node for node in outcome.nodes}
-        touched_keys = {tuple(sorted(candidate)) for candidate in touched}
-        old_nodes = old_graph.levels.get(level, {})
+        old_nodes = old_levels.get(level, {})
         produced = False
-        for candidate in generated:
+        for candidate, flag in zip(generated, is_touched):
             key = tuple(sorted(candidate))
-            if key in touched_keys:
+            if flag:
                 node = evaluated.get(key)
             else:
                 node = self._refilter_node(old_nodes.get(key), graph, min_count)
             if node is not None:
                 graph.add_combination_node(node)
+                # Entries returned by worker processes carry only their index
+                # matrices; re-attach the coordinator's instance lists so the
+                # lazy tuple views (and the next level's scalar path) resolve.
                 for entry in node.patterns.values():
                     entry.bind_sources(graph.level1)
                 produced = True
 
-        # ``patterns_found`` describes the merged state (reused + re-mined),
-        # not just the incremental work the counters above recorded.
+        # ``patterns_found`` describes the merged state (reused + evaluated),
+        # not just the work the counters above recorded.
         stats.patterns_found.pop(level, None)
         stats.bump(
             stats.patterns_found,
@@ -983,48 +900,6 @@ class MiningSession:
             }
         return self._pair_patterns
 
-    def _run_level(
-        self,
-        graph: HierarchicalPatternGraph,
-        stats: MiningStatistics,
-        backend: ExecutionBackend,
-        context: LevelContext,
-        candidates: list[Candidate],
-        level_start: float,
-        costs: list[float] | None = None,
-    ) -> bool:
-        """Delegate one level's candidates to the backend and merge the outcome.
-
-        ``costs`` carries the per-candidate cost estimates computed during
-        generation for cost-balancing backends (``wants_costs``); it is
-        ``None`` for backends that would ignore the estimates.
-
-        ``level_seconds`` is assembled as *evaluation time + coordinator
-        overhead*: the backend reports the evaluation wall-clock (for parallel
-        backends: the slowest shard, per
-        :meth:`MiningStatistics.merge_shard`), and the time this process spent
-        generating candidates, building the context and attaching the
-        resulting nodes is added on top.  Summing per-shard times instead
-        would overstate the level cost by up to the worker count.
-        """
-        backend_start = time.perf_counter()
-        outcome = backend.run(context, candidates, costs)
-        backend_elapsed = time.perf_counter() - backend_start
-
-        level1 = graph.level1
-        for node in outcome.nodes:
-            graph.add_combination_node(node)
-            # Entries returned by worker processes carry only their index
-            # matrices; re-attach the coordinator's instance lists so the
-            # lazy tuple views (and the next level's scalar path) resolve.
-            for entry in node.patterns.values():
-                entry.bind_sources(level1)
-        stats.absorb_counters(outcome.stats)
-        evaluation_seconds = outcome.stats.level_seconds.get(context.level, 0.0)
-        overhead = max(0.0, (time.perf_counter() - level_start) - backend_elapsed)
-        stats.level_seconds[context.level] = evaluation_seconds + overhead
-        return bool(outcome.nodes)
-
     def _build_result(
         self,
         graph: HierarchicalPatternGraph,
@@ -1068,7 +943,7 @@ class MiningSession:
 
 def _support_can_change(
     candidate: Candidate,
-    delta_ids: dict[EventKey, set[int]],
+    delta_ids: dict[EventKey, Set[int]],
     newly_frequent: set[EventKey],
 ) -> bool:
     """Whether appending the delta can change this candidate's support set.
@@ -1081,7 +956,7 @@ def _support_can_change(
     """
     if any(event in newly_frequent for event in candidate):
         return True
-    shared: set[int] | None = None
+    shared: Set[int] | None = None
     for event in candidate:
         ids = delta_ids.get(event)
         if not ids:

@@ -30,7 +30,10 @@ class MiningStatistics:
 
     #: Number of sequences in the mined database.
     n_sequences: int = 0
-    #: Distinct events scanned at level 1.
+    #: Distinct events admitted to level 1: every event of the mined
+    #: database that passes A-HTPGM's event filter, frequent or not.  After
+    #: an append it counts the events of the whole grown database, so it
+    #: equals the count a from-scratch mine of that database reports.
     events_scanned: int = 0
     #: Events that met the support threshold (the ``1Freq`` set).
     frequent_events: int = 0

@@ -429,6 +429,13 @@ class TestSharedMemoryParity:
         assert_parity(serial, parallel)
 
 
+class ContiguousShardingBackend(ProcessPoolBackend):
+    """The count-balanced split, as in ``benchmarks/test_skewed_sharding.py``:
+    without ``wants_costs`` the miner passes no cost estimates."""
+
+    wants_costs = False
+
+
 class TestCostBalancedSharding:
     """The greedy LPT splitter and its count-balanced fallback."""
 
@@ -468,12 +475,13 @@ class TestCostBalancedSharding:
             )
 
     def test_count_balanced_fallback_parity(self):
-        """cost_balanced=False (contiguous equal-count shards) mines the same set."""
+        """Without cost estimates (contiguous equal-count shards) the process
+        backend mines the same set."""
         database = random_database(seed=13)
         config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
         serial = HTPGM(config, backend=SerialBackend()).mine(database)
-        with ProcessPoolBackend(
-            n_workers=2, min_candidates_per_worker=1, cost_balanced=False
+        with ContiguousShardingBackend(
+            n_workers=2, min_candidates_per_worker=1
         ) as backend:
             parallel = HTPGM(config, backend=backend).mine(database)
         assert_parity(serial, parallel)
@@ -481,7 +489,7 @@ class TestCostBalancedSharding:
     def test_wants_costs_capability_flag(self):
         assert SerialBackend().wants_costs is False
         assert ProcessPoolBackend(n_workers=2).wants_costs is True
-        assert ProcessPoolBackend(n_workers=2, cost_balanced=False).wants_costs is False
+        assert ContiguousShardingBackend(n_workers=2).wants_costs is False
 
     def test_miner_skips_estimation_for_backends_that_ignore_costs(self, monkeypatch):
         """Backends without wants_costs never pay for cost estimation."""

@@ -45,6 +45,7 @@ from repro.core.faults import FaultPlan, FaultSpec
 from repro.cli import main as cli_main
 from repro.io import read_session, write_session
 from repro.io.session_io import FORMAT_NAME
+from repro.timeseries import SequenceDatabase
 
 from test_engine_parity import mined_tuples, random_database, store_snapshot
 
@@ -355,6 +356,28 @@ class TestCheckpointResume:
         assert markers[-1] is None
         levels = markers[:-1]
         assert levels == sorted(levels)
+
+    def test_append_never_checkpoints(self, baseline, tmp_path, monkeypatch):
+        """Checkpoints cover mine() and resume() only: an append through the
+        API leaves the finished checkpoint byte-identical."""
+        database, _, _ = baseline
+        base = SequenceDatabase(database.sequences[:7])
+        ckpt = tmp_path / "ck.bin"
+        session = MiningSession(self._checkpoint_config(ckpt))
+        session.mine(base)
+        before = ckpt.read_bytes()
+        markers = []
+        monkeypatch.setattr(
+            MiningSession,
+            "_write_checkpoint",
+            lambda self, next_level: markers.append(next_level),
+        )
+        result = session.append(database.sequences[7:])
+        assert markers == []
+        assert ckpt.read_bytes() == before
+        assert mined_tuples(result) == mined_tuples(
+            MiningSession(CONFIG).mine(database)
+        )
 
     def test_complete_checkpoint_result_is_rebuilt_without_mining(
         self, baseline, tmp_path

@@ -77,15 +77,24 @@ def mined_tuples(result):
     ]
 
 
-def assert_incremental_parity(config, database, base_fraction=0.8, backend=None):
-    """mine(base) + append(delta) must equal mine(full) exactly."""
+def assert_incremental_parity(
+    config, database, base_fraction=0.8, backend=None, event_filter=None
+):
+    """mine(base) + append(delta) must equal mine(full) exactly, down to the
+    statistics that describe the mined state rather than the work done."""
     base, delta = split_database(database, base_fraction)
-    scratch = HTPGM(config, backend=backend).mine(database)
-    session = MiningSession(config)
+    scratch = HTPGM(config, backend=backend, event_filter=event_filter).mine(
+        database
+    )
+    session = MiningSession(config, event_filter=event_filter)
     session.mine(base, backend=backend)
     incremental = session.append(delta, backend=backend)
     assert mined_tuples(incremental) == mined_tuples(scratch)
     assert incremental.n_sequences == scratch.n_sequences == len(database)
+    for name in ("n_sequences", "events_scanned", "frequent_events", "patterns_found"):
+        assert getattr(incremental.statistics, name) == getattr(
+            scratch.statistics, name
+        ), name
     return session, incremental
 
 
@@ -119,6 +128,16 @@ class TestAppendParityRandomDatabases:
         )
         assert_incremental_parity(
             config, random_database(seed=3), backend=process_backend
+        )
+
+    def test_event_filter(self):
+        """A-HTPGM's event filter: ``events_scanned`` counts the events
+        admitted to level 1 after the filter, on both paths."""
+        config = MiningConfig(min_support=0.3, min_confidence=0.3, max_pattern_size=3)
+        assert_incremental_parity(
+            config,
+            random_database(3, n_sequences=20, n_series=6),
+            event_filter=lambda key: key[0] != "S1",
         )
 
     def test_serial_and_process_appends_agree(self, process_backend):
